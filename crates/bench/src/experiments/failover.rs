@@ -19,9 +19,8 @@
 //! page must be bit-identical to the unfaulted run, and a final probe
 //! replay must come back perfectly clean.
 //!
-//! Everything runs on virtual time with seeded routing and hedge coins,
-//! so the output is bit-identical across machines, thread counts, and
-//! scales.
+//! Everything runs on virtual time with seeded routing, so the output
+//! is bit-identical across machines, thread counts, and scales.
 
 use crate::experiments::serve_replay::{
     json_u64_field, rank_ordered_dataset, scrape, slo_json, stats_json,
@@ -30,9 +29,10 @@ use crate::experiments::{cache::fig19_params, ExperimentResult};
 use appstore_core::faults::{with_injector, FaultInjector, FaultKind, FaultPlan, FaultTrigger};
 use appstore_core::Seed;
 use appstore_models::{ModelKind, Simulator};
+use appstore_serve::slo::AVAILABILITY_TARGET_PPM;
 use appstore_serve::{
-    fingerprint64, replay, replica_site, with_server, ReplayConfig, ServeConfig, SloPolicy,
-    Workload, SITE_SERVE_HANDLER,
+    fingerprint64, hedge, replay, replica_site, with_server, ReplayConfig, ServeConfig, Workload,
+    SITE_SERVE_HANDLER,
 };
 use serde_json::json;
 
@@ -179,7 +179,7 @@ pub fn run(seed: Seed) -> ExperimentResult {
     let config = serve_config(fo_seed, cache_apps);
     let mut replay_config = ReplayConfig::new(fo_seed.child("client").child("chaos"));
     replay_config.trace_base = TRACE_BASE_FAILOVER;
-    replay_config.slo = Some(SloPolicy::replay_default());
+    replay_config.slo = true;
     let mut probe_config = replay_config.clone();
     probe_config.trace_base = TRACE_BASE_PROBE;
     let injector = FaultInjector::new(failover_plan());
@@ -257,14 +257,14 @@ pub fn run(seed: Seed) -> ExperimentResult {
 
     // Hedge accounting from /admin/tier: hedges fired can never exceed
     // the budget ceiling burst×replicas + ratio×calls (ratio and burst
-    // are the HedgePolicy defaults carried by the config).
+    // are the tier's per-replica hedge budget constants).
     let tier_calls = json_u64_field(&tier_body, "calls").unwrap_or(0);
     let hedges_fired = json_u64_field(&tier_body, "hedges_fired").unwrap_or(0);
     let hedges_won = json_u64_field(&tier_body, "hedges_won").unwrap_or(0);
     let hedges_denied = json_u64_field(&tier_body, "hedges_denied").unwrap_or(0);
     let failovers = json_u64_field(&tier_body, "failovers").unwrap_or(0);
-    let hedge_budget_cap = (REPLICAS as u64) * config.hedge.budget_burst
-        + (config.hedge.budget_ratio * tier_calls as f64) as u64;
+    let hedge_budget_cap =
+        (REPLICAS as u64) * hedge::BUDGET_BURST + (hedge::BUDGET_RATIO * tier_calls as f64) as u64;
     let hedges_within_budget = hedges_fired <= hedge_budget_cap;
     let hedge_rate = if tier_calls == 0 {
         0.0
@@ -285,10 +285,10 @@ pub fn run(seed: Seed) -> ExperimentResult {
         .slo
         .clone()
         .expect("probe replay runs the SLO monitor");
-    let availability_pass = chaos_slo.availability_ppm >= 995_000;
+    let availability_pass = chaos_slo.availability_ppm >= AVAILABILITY_TARGET_PPM;
     lines.push(format!(
-        "availability under replica chaos: {} ppm (sheds excluded), floor 995000 -> pass: {}",
-        chaos_slo.availability_ppm, availability_pass
+        "availability under replica chaos: {} ppm (sheds excluded), floor {} -> pass: {}",
+        chaos_slo.availability_ppm, AVAILABILITY_TARGET_PPM, availability_pass
     ));
 
     // Post-chaos healing: rejoin, anti-entropy, the fingerprint check.

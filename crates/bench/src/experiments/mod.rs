@@ -98,39 +98,18 @@ pub const EXPERIMENT_IDS: [&str; 32] = [
 ];
 
 /// Runs a batch of experiments on up to `threads` workers (0 ⇒ one per
-/// CPU), returning `(result, wall_seconds)` pairs **in the order of
-/// `ids`** regardless of completion order.
+/// CPU), returning `(result, wall_seconds, registry)` triples **in the
+/// order of `ids`** regardless of completion order.
 ///
 /// Every experiment receives the same `seed.child("experiments")` a
 /// sequential [`run_experiment`] loop would pass and derives its own
 /// child seeds internally, so the rendered results are bit-identical
-/// for every thread count; only the wall times vary.
+/// for every thread count; only the wall times vary. `progress` is
+/// invoked from worker threads as each experiment finishes (completion
+/// order), for live wall-time reporting.
 ///
-/// `progress` is invoked from worker threads as each experiment
-/// finishes (completion order), for live wall-time reporting.
-///
-/// # Panics
-/// Panics on an unknown id — validate against [`EXPERIMENT_IDS`] first.
-pub fn run_experiments<'a>(
-    ids: &[&'a str],
-    stores: &Stores,
-    seed: Seed,
-    threads: usize,
-    progress: impl Fn(&str, f64) + Sync,
-) -> Vec<(ExperimentResult, f64)> {
-    par_map_indexed(ids.to_vec(), threads, |_, id: &'a str| {
-        let started = Instant::now();
-        let result = run_experiment(id, stores, seed.child("experiments"))
-            .unwrap_or_else(|| panic!("unknown experiment id: {id}"));
-        let secs = started.elapsed().as_secs_f64();
-        progress(id, secs);
-        (result, secs)
-    })
-}
-
-/// Like [`run_experiments`], but collects each experiment's metrics into
-/// its own fresh [`appstore_obs::Registry`], returned alongside the
-/// result.
+/// Each experiment's metrics land in its own fresh
+/// [`appstore_obs::Registry`], returned alongside the result.
 ///
 /// Each experiment's registry is installed for exactly the duration of
 /// that experiment (and carried onto any worker threads it spawns), so

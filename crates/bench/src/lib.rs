@@ -19,8 +19,8 @@ pub mod stores;
 pub mod streaming;
 
 pub use experiments::{
-    run_experiment, run_experiments, run_experiments_observed, run_experiments_observed_with,
-    ExperimentResult, EXPERIMENT_IDS,
+    run_experiment, run_experiments_observed, run_experiments_observed_with, ExperimentResult,
+    EXPERIMENT_IDS,
 };
 pub use stores::{StoreBundle, Stores};
 pub use streaming::{

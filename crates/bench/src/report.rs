@@ -12,6 +12,7 @@
 //! WARN, because absolute magnitudes legitimately drift when stores
 //! shrink — only the invariants can still fail outright.
 
+use appstore_serve::slo::AVAILABILITY_TARGET_PPM;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -553,7 +554,7 @@ fn targets() -> Vec<TargetSpec> {
             figure: "serve-replay",
             metric: "probe availability (ppm)",
             paper: "post-chaos serving meets the 99.5% availability objective",
-            goal: Goal::Min(995_000.0),
+            goal: Goal::Min(AVAILABILITY_TARGET_PPM as f64),
             pass_tol: 0.0,
             warn_tol: 0.001,
             invariant: true,
@@ -566,7 +567,7 @@ fn targets() -> Vec<TargetSpec> {
             figure: "serve-failover",
             metric: "availability under replica chaos (ppm)",
             paper: "hedged failover keeps availability ≥ 99.5% through replica loss",
-            goal: Goal::Min(995_000.0),
+            goal: Goal::Min(AVAILABILITY_TARGET_PPM as f64),
             pass_tol: 0.0,
             warn_tol: 0.001,
             invariant: true,

@@ -3,7 +3,7 @@
 //! payload.
 
 use appstore_core::Seed;
-use bench::{run_experiment, run_experiments, Stores, EXPERIMENT_IDS};
+use bench::{run_experiment, run_experiments_observed, Stores, EXPERIMENT_IDS};
 
 #[test]
 fn every_experiment_runs_at_tiny_scale() {
@@ -50,11 +50,11 @@ fn experiment_batches_are_thread_count_invariant() {
     let stores = Stores::generate_all(64, seed.child("stores"));
     let ids = ["table1", "fig8", "fig19", "ablate-p", "crawl-recovery"];
     let render_all = |threads: usize| -> (String, Vec<String>) {
-        let results = run_experiments(&ids, &stores, seed, threads, |_, _| {});
-        let text: String = results.iter().map(|(r, _)| r.render()).collect();
+        let results = run_experiments_observed(&ids, &stores, seed, threads, |_, _| {});
+        let text: String = results.iter().map(|(r, _, _)| r.render()).collect();
         let json: Vec<String> = results
             .iter()
-            .map(|(r, _)| serde_json::to_string_pretty(&r.json).expect("serialize"))
+            .map(|(r, _, _)| serde_json::to_string_pretty(&r.json).expect("serialize"))
             .collect();
         (text, json)
     };

@@ -138,64 +138,23 @@ pub fn run_campaign(
                 // is much faster than a day, so the clock jumps forward.
                 client.advance_to(day_index as u64 * 86_400_000);
 
-                // 1. Discover the day's app directory.
-                let index = client.fetch(server, pool, Request::Index { day })?;
-                let Response::Index { apps } = index else {
-                    return Err(CrawlError::RetriesExhausted {
-                        last: crate::wire::WireError::Corrupt,
-                    });
-                };
-
-                // 2. Fetch each app page.
-                let mut observations = Vec::with_capacity(apps.len());
-                for app in apps {
-                    match client.fetch(server, pool, Request::AppPage { app, day }) {
-                        Ok(Response::AppPage { observation }) => {
-                            report.app_pages += 1;
-                            if let Some(previous) = last_version[observation.app.index()] {
-                                if observation.version > previous {
-                                    updates.push(UpdateEvent {
-                                        app: observation.app,
-                                        day,
-                                        version: observation.version,
-                                    });
-                                }
-                            }
-                            last_version[observation.app.index()] = Some(observation.version);
-                            observations.push(observation);
-                        }
-                        Ok(_) => {
-                            report.failed_pages += 1;
-                        }
-                        Err(CrawlError::NotFound) => {
-                            report.failed_pages += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                observations.sort_by_key(|o| o.app);
-                snapshots.push(DailySnapshot { day, observations });
-
-                // 3. Pull the day's comment pages.
-                let mut page = 0u32;
-                loop {
-                    match client.fetch(server, pool, Request::CommentsPage { day, page }) {
-                        Ok(Response::CommentsPage {
-                            comments: mut batch,
-                            has_more,
-                        }) => {
-                            report.comment_pages += 1;
-                            comments.append(&mut batch);
-                            if !has_more {
-                                break;
-                            }
-                            page += 1;
-                        }
-                        Ok(_) => break,
-                        Err(CrawlError::NotFound) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
+                let (snapshot, mut day_updates) = crawl_app_pages(
+                    &mut client,
+                    server,
+                    pool,
+                    day,
+                    &mut last_version,
+                    &mut report,
+                )?;
+                snapshots.push(snapshot);
+                updates.append(&mut day_updates);
+                comments.append(&mut crawl_comment_pages(
+                    &mut client,
+                    server,
+                    pool,
+                    day,
+                    &mut report,
+                )?);
                 Ok(())
             },
         )?;
@@ -216,6 +175,83 @@ pub fn run_campaign(
         updates,
     };
     Ok(CampaignOutcome { dataset, report })
+}
+
+/// The first half of a crawl day, up to the mid-day crash point:
+/// discovers the day's app directory, then fetches every app page.
+/// Update events are derived from version bumps against `last_version`,
+/// which this call advances.
+fn crawl_app_pages(
+    client: &mut CrawlerClient,
+    server: &MarketplaceServer<'_>,
+    pool: &mut ProxyPool,
+    day: Day,
+    last_version: &mut [Option<u32>],
+    report: &mut CrawlReport,
+) -> Result<(DailySnapshot, Vec<UpdateEvent>), CrawlError> {
+    let index = client.fetch(server, pool, Request::Index { day })?;
+    let Response::Index { apps } = index else {
+        return Err(CrawlError::RetriesExhausted {
+            last: crate::wire::WireError::Corrupt,
+        });
+    };
+    let mut observations = Vec::with_capacity(apps.len());
+    let mut updates = Vec::new();
+    for app in apps {
+        match client.fetch(server, pool, Request::AppPage { app, day }) {
+            Ok(Response::AppPage { observation }) => {
+                report.app_pages += 1;
+                if let Some(previous) = last_version[observation.app.index()] {
+                    if observation.version > previous {
+                        updates.push(UpdateEvent {
+                            app: observation.app,
+                            day,
+                            version: observation.version,
+                        });
+                    }
+                }
+                last_version[observation.app.index()] = Some(observation.version);
+                observations.push(observation);
+            }
+            Ok(_) | Err(CrawlError::NotFound) => {
+                report.failed_pages += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    observations.sort_by_key(|o| o.app);
+    Ok((DailySnapshot { day, observations }, updates))
+}
+
+/// The second half of a crawl day: pulls the day's comment pages until
+/// the server reports no more.
+fn crawl_comment_pages(
+    client: &mut CrawlerClient,
+    server: &MarketplaceServer<'_>,
+    pool: &mut ProxyPool,
+    day: Day,
+    report: &mut CrawlReport,
+) -> Result<Vec<CommentEvent>, CrawlError> {
+    let mut comments = Vec::new();
+    let mut page = 0u32;
+    loop {
+        match client.fetch(server, pool, Request::CommentsPage { day, page }) {
+            Ok(Response::CommentsPage {
+                comments: mut batch,
+                has_more,
+            }) => {
+                report.comment_pages += 1;
+                comments.append(&mut batch);
+                if !has_more {
+                    break;
+                }
+                page += 1;
+            }
+            Ok(_) | Err(CrawlError::NotFound) => break,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(comments)
 }
 
 /// Campaign-level fault injection: where a resumable run crashes.
@@ -432,41 +468,15 @@ pub fn run_campaign_resumable(
                     CrawlerClient::new(region, faults, seed.child_indexed("day", day_index as u64));
                 client.advance_to(day_index as u64 * 86_400_000);
 
-                // 1. Discover the day's app directory.
-                let index = client.fetch(server, pool, Request::Index { day })?;
-                let Response::Index { apps } = index else {
-                    return Err(CampaignError::Crawl(CrawlError::RetriesExhausted {
-                        last: crate::wire::WireError::Corrupt,
-                    }));
-                };
-
-                // 2. Fetch each app page; derive updates from version diffs.
-                let mut observations = Vec::with_capacity(apps.len());
-                let mut day_updates: Vec<UpdateEvent> = Vec::new();
-                for app in apps {
-                    match client.fetch(server, pool, Request::AppPage { app, day }) {
-                        Ok(Response::AppPage { observation }) => {
-                            report.app_pages += 1;
-                            if let Some(previous) = last_version[observation.app.index()] {
-                                if observation.version > previous {
-                                    day_updates.push(UpdateEvent {
-                                        app: observation.app,
-                                        day,
-                                        version: observation.version,
-                                    });
-                                }
-                            }
-                            last_version[observation.app.index()] = Some(observation.version);
-                            observations.push(observation);
-                        }
-                        Ok(_) | Err(CrawlError::NotFound) => {
-                            report.failed_pages += 1;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                observations.sort_by_key(|o| o.app);
-                out.append(&Record::Snapshot(DailySnapshot { day, observations }))?;
+                let (snapshot, day_updates) = crawl_app_pages(
+                    &mut client,
+                    server,
+                    pool,
+                    day,
+                    &mut last_version,
+                    &mut report,
+                )?;
+                out.append(&Record::Snapshot(snapshot))?;
 
                 if crashes.crash_mid_day == Some(day_index as u32) {
                     // Simulated process death: snapshot flushed, the rest of
@@ -474,32 +484,14 @@ pub fn run_campaign_resumable(
                     return Err(CampaignError::Crashed { day });
                 }
 
-                // 3. Pull the day's comment pages.
-                let mut day_comments: Vec<CommentEvent> = Vec::new();
-                let mut page = 0u32;
-                loop {
-                    match client.fetch(server, pool, Request::CommentsPage { day, page }) {
-                        Ok(Response::CommentsPage {
-                            comments: mut batch,
-                            has_more,
-                        }) => {
-                            report.comment_pages += 1;
-                            day_comments.append(&mut batch);
-                            if !has_more {
-                                break;
-                            }
-                            page += 1;
-                        }
-                        Ok(_) | Err(CrawlError::NotFound) => break,
-                        Err(e) => return Err(e.into()),
-                    }
-                }
+                let day_comments =
+                    crawl_comment_pages(&mut client, server, pool, day, &mut report)?;
                 out.append_chunked(&day_comments, Record::Comments)?;
                 if !day_updates.is_empty() {
                     out.append_chunked(&day_updates, Record::Updates)?;
                 }
 
-                // 4. Checkpoint: the day is durable.
+                // Checkpoint: the day is durable.
                 out.day_complete(day)?;
                 report.days += 1;
                 report.virtual_ms = report.virtual_ms.max(client.now_ms());

@@ -36,7 +36,7 @@ fn parallel_instances_harvest_identical_pages() {
     let day = truth.last().day;
     let apps: Vec<_> = truth.last().observations.iter().map(|o| o.app).collect();
     let workers = 8;
-    crossbeam_scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..workers {
             let server = &server;
             let truth = &truth;
@@ -86,7 +86,7 @@ fn shared_address_rate_limit_is_enforced_across_threads() {
     );
     let day = truth.last().day;
     let successes = std::sync::atomic::AtomicU32::new(0);
-    crossbeam_scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..4 {
             let server = &server;
             let successes = &successes;
@@ -108,12 +108,4 @@ fn shared_address_rate_limit_is_enforced_across_threads() {
         budget,
         "exactly the shared bucket budget must pass"
     );
-}
-
-/// Minimal scoped-threads helper (std scoped threads).
-fn crossbeam_scope<'env, F>(f: F)
-where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>),
-{
-    std::thread::scope(f);
 }

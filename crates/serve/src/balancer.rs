@@ -17,11 +17,10 @@
 //!   then the lower id);
 //! * **hedged reads** — a failed primary hedges immediately (the
 //!   failover path); a slow primary hedges once its virtual latency
-//!   exceeds a delay clamped around the live backing-latency p99. The
-//!   hedge coin is pure in `(seed, call index)`, and every hedge must
-//!   be admitted by the *target* replica's
-//!   [`RetryBudget`] — fresh traffic to a replica earns its tokens, so
-//!   hedges cannot multiply load during a brown-out;
+//!   exceeds a delay clamped around the live backing-latency p99
+//!   ([`crate::hedge`]). Every hedge must be admitted by the *target*
+//!   replica's [`RetryBudget`] — fresh traffic to a replica earns its
+//!   tokens, so hedges cannot multiply load during a brown-out;
 //! * **anti-entropy** — [`BackingTier::reconcile`] fingerprints every
 //!   replica's rankings page against the authoritative payload (read
 //!   over the unmetered replication channel) and clears drift on
@@ -35,7 +34,7 @@
 //! goldens pin that equivalence byte for byte.
 
 use crate::deadline::Deadline;
-use crate::hedge::HedgePolicy;
+use crate::hedge;
 use crate::replica::{fingerprint64, Replica, ReplicaError};
 use crate::telemetry::BreakerState;
 use crate::SITE_SERVE_BACKING;
@@ -130,7 +129,6 @@ pub struct BackingTier<'a> {
     /// Virtual latency of calls the tier answered with — the live
     /// histogram whose p99 sets the hedge delay.
     latency: LogLinearHistogram,
-    policy: HedgePolicy,
     seed: Seed,
     base_latency_ms: u64,
     calls: u64,
@@ -148,7 +146,6 @@ impl<'a> BackingTier<'a> {
         dataset: &'a Dataset,
         replicas: usize,
         policy: ServerPolicy,
-        hedge: HedgePolicy,
         seed: Seed,
     ) -> BackingTier<'a> {
         let n = replicas.max(1);
@@ -161,12 +158,11 @@ impl<'a> BackingTier<'a> {
             pool,
             proxies,
             budgets: (0..n)
-                .map(|_| RetryBudget::new(hedge.budget_ratio, hedge.budget_burst))
+                .map(|_| RetryBudget::new(hedge::BUDGET_RATIO, hedge::BUDGET_BURST))
                 .collect(),
             slow: vec![0; n],
             sites: (0..n).map(replica_site).collect(),
             latency: LogLinearHistogram::new(),
-            policy: hedge,
             seed,
             base_latency_ms: policy.latency_ms,
             calls: 0,
@@ -199,12 +195,6 @@ impl<'a> BackingTier<'a> {
         let a = rng.gen::<u64>() % n;
         let b = (a + 1 + rng.gen::<u64>() % (n - 1)) % n;
         (a as usize, b as usize)
-    }
-
-    /// Whether a hedge-eligible call at `index` hedges, pure in
-    /// `(seed, index)`.
-    pub fn hedge_coin(&self, index: u64) -> bool {
-        self.policy.coin(self.seed, index)
     }
 
     /// Picks the primary among the candidate pair using breaker state
@@ -383,8 +373,8 @@ impl<'a> BackingTier<'a> {
             request,
         ) {
             Ok((payload, latency_ms)) => {
-                let hedge_delay = self.policy.delay_ms(self.latency.p99());
-                if secondary != primary && latency_ms > hedge_delay && self.hedge_coin(call) {
+                let hedge_delay = hedge::delay_ms(self.latency.p99());
+                if secondary != primary && latency_ms > hedge_delay {
                     if self.budgets[secondary].try_spend() {
                         self.hedges_fired += 1;
                         appstore_obs::counter(names::BALANCER_HEDGES_FIRED, 1);
@@ -421,9 +411,7 @@ impl<'a> BackingTier<'a> {
             // A failed or breaker-blocked primary hedges immediately:
             // the failover path. Deadline/throttle/not-found errors are
             // not replica-specific, so a second replica cannot help.
-            Err(error @ (TierError::Open { .. } | TierError::Failed))
-                if secondary != primary && self.hedge_coin(call) =>
-            {
+            Err(error @ (TierError::Open { .. } | TierError::Failed)) if secondary != primary => {
                 if !self.budgets[secondary].try_spend() {
                     self.hedges_denied += 1;
                     appstore_obs::counter(names::BALANCER_HEDGES_DENIED, 1);
@@ -525,7 +513,7 @@ impl<'a> BackingTier<'a> {
             hedges_won: self.hedges_won,
             hedges_denied: self.hedges_denied,
             failovers: self.failovers,
-            hedge_delay_ms: self.policy.delay_ms(self.latency.p99()),
+            hedge_delay_ms: hedge::delay_ms(self.latency.p99()),
             budget_available: self.budgets.iter().map(|b| b.available()).collect(),
         }
     }
@@ -538,7 +526,7 @@ mod tests {
     use crate::replay::test_dataset;
     use appstore_core::faults::{with_injector, FaultInjector, FaultPlan, FaultTrigger};
 
-    fn tier<'a>(dataset: &'a Dataset, replicas: usize, hedge: HedgePolicy) -> BackingTier<'a> {
+    fn tier(dataset: &Dataset, replicas: usize) -> BackingTier<'_> {
         BackingTier::new(
             dataset,
             replicas,
@@ -547,41 +535,24 @@ mod tests {
                 burst: 100_000,
                 ..ServerPolicy::default()
             },
-            hedge,
             Seed::new(2013),
         )
     }
 
-    fn decision_log(tier: &BackingTier<'_>, calls: u64) -> Vec<(usize, usize, bool)> {
-        (0..calls)
-            .map(|i| {
-                let (a, b) = tier.candidates(i);
-                (a, b, tier.hedge_coin(i))
-            })
-            .collect()
+    fn decision_log(tier: &BackingTier<'_>, calls: u64) -> Vec<(usize, usize)> {
+        (0..calls).map(|i| tier.candidates(i)).collect()
     }
 
     #[test]
-    fn routing_and_hedge_decisions_are_pure_in_seed_and_index() {
+    fn routing_decisions_are_pure_in_seed_and_index() {
         let dataset = test_dataset(8);
-        let hedge = HedgePolicy {
-            fraction: 0.5,
-            ..HedgePolicy::default()
-        };
-        let tier_a = tier(&dataset, 3, hedge);
+        let tier_a = tier(&dataset, 3);
         let forward = decision_log(&tier_a, 512);
-        let backward: Vec<_> = (0..512)
-            .rev()
-            .map(|i| {
-                let (a, b) = tier_a.candidates(i);
-                (a, b, tier_a.hedge_coin(i))
-            })
-            .collect();
-        let mut backward = backward;
+        let mut backward: Vec<_> = (0..512).rev().map(|i| tier_a.candidates(i)).collect();
         backward.reverse();
         assert_eq!(forward, backward, "evaluation order is irrelevant");
         // Candidates are always distinct with n > 1.
-        assert!(forward.iter().all(|&(a, b, _)| a != b));
+        assert!(forward.iter().all(|&(a, b)| a != b));
         // Byte-identical logs from concurrent threads — the property
         // the cross-thread goldens pin end to end.
         std::thread::scope(|scope| {
@@ -593,14 +564,14 @@ mod tests {
             }
         });
         // A different seed routes differently.
-        let tier_b = BackingTier::new(&dataset, 3, ServerPolicy::default(), hedge, Seed::new(2014));
+        let tier_b = BackingTier::new(&dataset, 3, ServerPolicy::default(), Seed::new(2014));
         assert_ne!(decision_log(&tier_b, 512), forward);
     }
 
     #[test]
     fn single_replica_short_circuits_routing() {
         let dataset = test_dataset(8);
-        let solo = tier(&dataset, 1, HedgePolicy::default());
+        let solo = tier(&dataset, 1);
         for i in 0..64 {
             assert_eq!(solo.candidates(i), (0, 0));
         }
@@ -609,12 +580,10 @@ mod tests {
     #[test]
     fn retry_budget_never_admits_a_hedge_once_exhausted() {
         let dataset = test_dataset(8);
-        let hedge = HedgePolicy {
-            budget_ratio: 0.0,
-            budget_burst: 2,
-            ..HedgePolicy::default()
-        };
-        let mut t = tier(&dataset, 2, hedge);
+        let mut t = tier(&dataset, 2);
+        // A tiny budget that fresh traffic never refills keeps the
+        // exhaustion point a handful of calls away.
+        t.budgets = vec![RetryBudget::new(0.0, 2); 2];
         // Every attempt (primary and hedge alike) fails at the backing
         // site, so each call is hedge-eligible and each fired hedge
         // spends one token.
@@ -672,7 +641,7 @@ mod tests {
     #[test]
     fn breaker_open_replicas_get_zero_routes_until_the_half_open_probe() {
         let dataset = test_dataset(8);
-        let mut t = tier(&dataset, 2, HedgePolicy::default());
+        let mut t = tier(&dataset, 2);
         // Trip replica 0's breaker at t=1000: quarantined until 6000.
         for _ in 0..3 {
             t.pool.record_failure(t.proxies[0], 1_000);
@@ -718,7 +687,7 @@ mod tests {
     #[test]
     fn crashed_replica_fails_over_via_hedge_and_clients_never_see_it() {
         let dataset = test_dataset(8);
-        let mut t = tier(&dataset, 3, HedgePolicy::default());
+        let mut t = tier(&dataset, 3);
         // Crash replica 1 on the very first call.
         let plan = FaultPlan::seeded(4).rule(
             &replica_site(1),
@@ -755,7 +724,7 @@ mod tests {
     #[test]
     fn reconcile_repairs_exactly_the_drifted_replica() {
         let dataset = test_dataset(16);
-        let mut t = tier(&dataset, 3, HedgePolicy::default());
+        let mut t = tier(&dataset, 3);
         let clean = t.reconcile(Day(0));
         assert_eq!(clean.checked, 3);
         assert!(clean.divergent.is_empty());
@@ -771,7 +740,7 @@ mod tests {
     #[test]
     fn partition_heals_by_deadline_and_crash_only_by_rejoin() {
         let dataset = test_dataset(8);
-        let mut t = tier(&dataset, 2, HedgePolicy::default());
+        let mut t = tier(&dataset, 2);
         t.replicas[0].crash();
         t.replicas[1].partition(5_000);
         assert_eq!(t.rejoin_all(), 2);

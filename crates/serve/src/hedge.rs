@@ -1,120 +1,48 @@
-//! Hedged-request policy: when (and whether) a second replica is asked.
+//! Hedged-request policy: when a second replica is asked.
 //!
 //! Classic tail-latency hedging ("The Tail at Scale"): if the primary
 //! replica's answer costs more virtual time than a delay derived from
 //! the live backing-latency histogram's p99, a hedge fires at a second
 //! replica and the cheaper of the two answers wins. A failed primary
-//! hedges immediately — that is the failover path. Both decisions are
-//! pure functions of `(seed, tier call index)` plus tier state that is
-//! itself deterministic, so a replayed workload hedges identically at
-//! any thread count.
+//! hedges immediately — that is the failover path. Both conditions
+//! depend only on tier state that is itself deterministic, so a
+//! replayed workload hedges identically at any thread count.
 //!
 //! The budget side lives in the balancer: every hedge must be admitted
 //! by the *target* replica's [`appstore_core::backoff::RetryBudget`],
-//! so hedges can add at most `burst + ratio × routed` extra calls to a
-//! replica no matter how sick its peers are.
+//! so hedges can add at most [`BUDGET_BURST`] + [`BUDGET_RATIO`] ×
+//! routed extra calls to a replica no matter how sick its peers are.
 
-use appstore_core::Seed;
-use rand::Rng;
+/// Floor for the hedge delay (virtual ms): with an empty latency
+/// histogram the p99 reads 0, which must not mean "hedge everything".
+const MIN_DELAY_MS: u64 = 100;
 
-/// Hedging knobs, carried in [`crate::ServeConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct HedgePolicy {
-    /// Floor for the hedge delay: with an empty latency histogram the
-    /// p99 reads 0, which must not mean "hedge everything".
-    pub min_delay_ms: u64,
-    /// Ceiling for the hedge delay: a histogram poisoned by a few huge
-    /// outliers must not disable hedging entirely.
-    pub max_delay_ms: u64,
-    /// Fraction of hedge-eligible calls that actually hedge, rolled
-    /// per `(seed, call index)`. 1.0 hedges every eligible call.
-    pub fraction: f64,
-    /// Retry-budget deposit per routed call (tokens earned by fresh
-    /// traffic to a replica, spent by hedges targeting it).
-    pub budget_ratio: f64,
-    /// Retry-budget burst: hedges a replica will absorb before any
-    /// fresh traffic has earned tokens.
-    pub budget_burst: u64,
-}
+/// Ceiling for the hedge delay (virtual ms): a histogram poisoned by a
+/// few huge outliers must not disable hedging entirely.
+const MAX_DELAY_MS: u64 = 1_000;
 
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            min_delay_ms: 100,
-            max_delay_ms: 1_000,
-            fraction: 1.0,
-            budget_ratio: 0.1,
-            budget_burst: 50,
-        }
-    }
-}
+/// Retry-budget deposit per routed call (tokens earned by fresh
+/// traffic to a replica, spent by hedges targeting it).
+pub const BUDGET_RATIO: f64 = 0.1;
 
-impl HedgePolicy {
-    /// The virtual-time delay after which a slow primary is hedged,
-    /// given the live p99 of successful backing calls.
-    pub fn delay_ms(&self, latency_p99_ms: u64) -> u64 {
-        latency_p99_ms.clamp(self.min_delay_ms, self.max_delay_ms)
-    }
+/// Retry-budget burst: hedges a replica will absorb before any fresh
+/// traffic has earned tokens.
+pub const BUDGET_BURST: u64 = 50;
 
-    /// Whether an eligible call at `index` hedges, decided purely by
-    /// `(seed, index)`. The extremes skip the RNG so `fraction: 1.0`
-    /// (the default) costs nothing per call.
-    pub fn coin(&self, seed: Seed, index: u64) -> bool {
-        if self.fraction >= 1.0 {
-            return true;
-        }
-        if self.fraction <= 0.0 {
-            return false;
-        }
-        let mut rng = seed.child_indexed("hedge-coin", index).rng();
-        let draw = rng.gen::<u64>() as f64 / u64::MAX as f64;
-        draw < self.fraction
-    }
+/// The virtual-time delay after which a slow primary is hedged, given
+/// the live p99 of successful backing calls.
+pub(crate) fn delay_ms(latency_p99_ms: u64) -> u64 {
+    latency_p99_ms.clamp(MIN_DELAY_MS, MAX_DELAY_MS)
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
     fn delay_clamps_to_the_policy_window() {
-        let policy = HedgePolicy::default();
-        assert_eq!(policy.delay_ms(0), 100, "empty histogram hits the floor");
-        assert_eq!(policy.delay_ms(250), 250);
-        assert_eq!(policy.delay_ms(50_000), 1_000, "outliers hit the ceiling");
-    }
-
-    #[test]
-    fn coin_extremes_skip_the_rng() {
-        let seed = Seed::new(3);
-        let always = HedgePolicy {
-            fraction: 1.0,
-            ..HedgePolicy::default()
-        };
-        let never = HedgePolicy {
-            fraction: 0.0,
-            ..HedgePolicy::default()
-        };
-        for index in 0..32 {
-            assert!(always.coin(seed, index));
-            assert!(!never.coin(seed, index));
-        }
-    }
-
-    #[test]
-    fn coin_is_pure_in_seed_and_index() {
-        let policy = HedgePolicy {
-            fraction: 0.5,
-            ..HedgePolicy::default()
-        };
-        let seed = Seed::new(11);
-        let flips: Vec<bool> = (0..256).map(|i| policy.coin(seed, i)).collect();
-        let replay: Vec<bool> = (0..256).map(|i| policy.coin(seed, i)).collect();
-        assert_eq!(flips, replay);
-        let heads = flips.iter().filter(|&&b| b).count();
-        assert!((64..=192).contains(&heads), "p=0.5 is neither 0 nor 1");
-        let other: Vec<bool> = (0..256).map(|i| policy.coin(Seed::new(12), i)).collect();
-        assert_ne!(flips, other, "a different seed flips differently");
+        assert_eq!(delay_ms(0), 100, "empty histogram hits the floor");
+        assert_eq!(delay_ms(250), 250);
+        assert_eq!(delay_ms(50_000), 1_000, "outliers hit the ceiling");
     }
 }

@@ -12,9 +12,8 @@
 //!   each stage of handler work charges against; an exhausted budget
 //!   turns into a 504 instead of a stalled socket;
 //! * **bounded admission** ([`queue`]) — connections enter a bounded
-//!   work queue with a seeded admission policy; past the high watermark
-//!   the server sheds with an explicit `503 Retry-After` instead of
-//!   letting latency grow without bound;
+//!   work queue; at capacity the server sheds with an explicit
+//!   `503 Retry-After` instead of letting latency grow without bound;
 //! * **a replicated backing tier** ([`balancer`], [`replica`],
 //!   [`hedge`]) — misses go to one of N deterministic
 //!   [`appstore_crawler::MarketplaceServer`] replicas (reusing their
@@ -29,7 +28,7 @@
 //!   server serves the stale copy (marked `X-Degraded: stale`) instead
 //!   of erroring, and only sheds when it has nothing at all;
 //! * **a deterministic load generator** ([`replay`]) — replays
-//!   APP-CLUSTERING / ZIPF download traces at a configurable QPS over a
+//!   APP-CLUSTERING / ZIPF download traces at a fixed virtual QPS over a
 //!   real socket, with jittered-backoff retries governed by an
 //!   [`appstore_core::backoff::RetryBudget`] so retries cannot amplify
 //!   overload;
@@ -39,8 +38,8 @@
 //!   and `GET /statusz` (queue depth, shed counters, virtual uptime)
 //!   served through the normal request path, so the server stays
 //!   scrapeable mid-replay;
-//! * **SLO burn-rate grading** ([`slo`]) — declarative availability and
-//!   p99 objectives evaluated over rolling virtual-time windows with
+//! * **SLO burn-rate grading** ([`slo`]) — fixed availability and p99
+//!   objectives evaluated over rolling virtual-time windows with
 //!   multi-window burn-rate alerting, so a chaos window trips a
 //!   fast-burn alert and provably recovers.
 //!
@@ -49,10 +48,11 @@
 //! it is not, and shed explicitly when even that is impossible.
 //!
 //! Determinism: all resilience decisions run on virtual time (the
-//! replay client stamps every request with `X-Now-Ms`), fault rolls and
-//! shed rolls key off sequential request indices, and wall-clock only
-//! feeds volatile metrics — so a seeded replay produces byte-identical
-//! counters, hit rates, and fault logs on every run.
+//! replay client stamps every request with `X-Now-Ms`), fault rolls key
+//! off sequential request indices, routing keys off `(seed, call
+//! index)`, and wall-clock only feeds volatile metrics — so a seeded
+//! replay produces byte-identical counters, hit rates, and fault logs
+//! on every run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,13 +73,12 @@ pub mod telemetry;
 pub use balancer::{replica_site, BackingTier, ReconcileReport, TierError, TierStats};
 pub use deadline::Deadline;
 pub use edge::{EdgeCache, RankingsView};
-pub use hedge::HedgePolicy;
 pub use http::{HttpRequest, HttpResponse};
-pub use queue::{Admission, AdmissionPolicy, BoundedQueue};
+pub use queue::BoundedQueue;
 pub use replay::{replay, ReplayConfig, ReplayStats, Workload};
 pub use replica::{fingerprint64, Replica, ReplicaError, ReplicaState};
 pub use server::{with_server, ServeConfig, ServerHandle, TRACE_SAMPLE_EVERY};
-pub use slo::{SloMonitor, SloPolicy, SloSummary};
+pub use slo::{SloMonitor, SloSummary};
 pub use telemetry::{BreakerState, HealthState, StatusSnapshot};
 
 /// Fault-injection site: one roll per request at the handler boundary

@@ -6,13 +6,12 @@
 //! (ZIPF, APP-CLUSTERING with fetch-at-most-once and category
 //! affinity), so the request stream inherits exactly the locality the
 //! paper measured. [`replay`] drives the workload through the serving
-//! layer at a configurable QPS on a *virtual* clock: each request
-//! advances the clock by `1000 / qps` ms and stamps it into
-//! `X-Now-Ms`, so TTLs, rate-limit refills, and breaker probation
-//! windows all run in deterministic virtual time no matter how fast
-//! the real socket is. Requests are pipelined in batches (write the
-//! whole batch, flush, read the responses back) to keep six-figure
-//! replays fast.
+//! layer at 200 requests per *virtual* second: each request advances
+//! the clock by 5 ms and stamps it into `X-Now-Ms`, so TTLs, rate-limit
+//! refills, and breaker probation windows all run in deterministic
+//! virtual time no matter how fast the real socket is. Requests are
+//! pipelined in batches (write the whole batch, flush, read the
+//! responses back) to keep six-figure replays fast.
 //!
 //! Failures (429/5xx) are retried with the shared
 //! [`appstore_core::backoff`] schedule — jittered exponential delays,
@@ -27,12 +26,13 @@
 //! requests emit a client-side span on the same per-trace track the
 //! server annotates — so one trace id stitches client, queue, edge,
 //! and backing on a single timeline. With [`ReplayConfig::slo`] set,
-//! every completed request also feeds a [`SloMonitor`] grading
-//! availability and p99 objectives over rolling virtual-time windows.
+//! every completed request also feeds a [`SloMonitor`] grading the
+//! availability and p99 objectives of [`crate::slo`] over rolling
+//! virtual-time windows.
 
 use crate::http::{read_response, HttpResponse};
 use crate::server::TRACE_SAMPLE_EVERY;
-use crate::slo::{SloMonitor, SloPolicy, SloSummary};
+use crate::slo::{SloMonitor, SloSummary};
 use appstore_core::backoff::{BackoffSchedule, RetryBudget};
 use appstore_core::{DownloadEvent, Seed};
 use appstore_obs::{names, LogLinearHistogram};
@@ -72,55 +72,57 @@ impl Workload {
     }
 }
 
-/// Replay pacing, retry policy, and interleaving knobs.
+/// Requests per virtual second (sets the virtual clock step).
+const QPS: u64 = 200;
+
+/// Virtual ms the clock advances per request.
+const STEP_MS: u64 = 1_000 / QPS;
+
+/// Deadline budget stamped on every request (`X-Deadline-Ms`).
+const DEADLINE_MS: u64 = 1_000;
+
+/// Requests pipelined per batch.
+const BATCH: usize = 64;
+
+/// A rankings fetch is issued before every this many app requests.
+const RANKINGS_EVERY: usize = 50;
+
+/// A download fetch is issued after every this many app requests.
+const DOWNLOAD_EVERY: usize = 25;
+
+/// Retry attempts per failed request.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// Base backoff delay before the first retry (virtual ms).
+const BACKOFF_BASE_MS: u64 = 100;
+
+/// Retry tokens earned per fresh request (0.1 = 10% retry ratio).
+const RETRY_BUDGET_RATIO: f64 = 0.1;
+
+/// Retry tokens available up front (burst allowance).
+const RETRY_BUDGET_BURST: u64 = 50;
+
+/// What varies between replays: the seed, the trace ids, and whether
+/// the replay is graded against the SLOs.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
-    /// Requests per virtual second (sets the virtual clock step).
-    pub qps: u64,
-    /// Deadline budget stamped on every request (`X-Deadline-Ms`).
-    pub deadline_ms: u64,
-    /// Requests pipelined per batch.
-    pub batch: usize,
-    /// Issue a rankings fetch every N app requests (0 = never).
-    pub rankings_every: usize,
-    /// Issue a download fetch every N app requests (0 = never).
-    pub download_every: usize,
-    /// Retry attempts per failed request.
-    pub max_attempts: u32,
-    /// Base backoff delay before the first retry.
-    pub backoff_base_ms: u64,
-    /// Retry tokens earned per fresh request (0.1 = 10% retry ratio).
-    pub retry_budget_ratio: f64,
-    /// Retry tokens available up front (burst allowance).
-    pub retry_budget_burst: u64,
     /// Seed for the jittered backoff schedule.
     pub seed: Seed,
     /// Base for the `X-Trace-Id` stamped on each request (the id is
     /// `trace_base + requests_sent`, so distinct replay phases get
     /// disjoint id ranges on one shared timeline).
     pub trace_base: u64,
-    /// Service-level objectives to grade this replay against (`None`
-    /// disables the monitor).
-    pub slo: Option<SloPolicy>,
+    /// Grade this replay with a [`SloMonitor`].
+    pub slo: bool,
 }
 
 impl ReplayConfig {
-    /// Defaults matching the serve-replay experiment: 200 virtual QPS,
-    /// 1 s deadlines, 10% retry budget.
+    /// A replay seeded by `seed`, trace ids from 0, no SLO grading.
     pub fn new(seed: Seed) -> ReplayConfig {
         ReplayConfig {
-            qps: 200,
-            deadline_ms: 1_000,
-            batch: 64,
-            rankings_every: 50,
-            download_every: 25,
-            max_attempts: 3,
-            backoff_base_ms: 100,
-            retry_budget_ratio: 0.1,
-            retry_budget_burst: 50,
             seed,
             trace_base: 0,
-            slo: None,
+            slo: false,
         }
     }
 }
@@ -226,17 +228,11 @@ fn op_target(op: Op) -> (String, u32) {
     }
 }
 
-fn write_op(
-    writer: &mut impl Write,
-    op: Op,
-    now_ms: u64,
-    deadline_ms: u64,
-    trace_id: u64,
-) -> io::Result<()> {
+fn write_op(writer: &mut impl Write, op: Op, now_ms: u64, trace_id: u64) -> io::Result<()> {
     let (target, client) = op_target(op);
     write!(
         writer,
-        "GET {target} HTTP/1.1\r\nX-Client: {client}\r\nX-Now-Ms: {now_ms}\r\nX-Deadline-Ms: {deadline_ms}\r\nX-Trace-Id: {trace_id}\r\nX-Parent-Span: client-{trace_id}\r\n\r\n"
+        "GET {target} HTTP/1.1\r\nX-Client: {client}\r\nX-Now-Ms: {now_ms}\r\nX-Deadline-Ms: {DEADLINE_MS}\r\nX-Trace-Id: {trace_id}\r\nX-Parent-Span: client-{trace_id}\r\n\r\n"
     )
 }
 
@@ -329,30 +325,29 @@ pub fn replay(
 
     let mut ops = Vec::with_capacity(workload.events.len() + workload.events.len() / 16);
     for (i, &(client, app)) in workload.events.iter().enumerate() {
-        if config.rankings_every > 0 && i % config.rankings_every == 0 {
+        if i % RANKINGS_EVERY == 0 {
             ops.push(Op::Rankings);
         }
         ops.push(Op::App { client, app });
-        if config.download_every > 0 && i % config.download_every == 0 {
+        if i % DOWNLOAD_EVERY == 0 {
             ops.push(Op::Download { app });
         }
     }
 
-    let step_ms = (1_000 / config.qps.max(1)).max(1);
-    let schedule = BackoffSchedule::new(config.backoff_base_ms, config.seed.child("backoff"));
-    let mut budget = RetryBudget::new(config.retry_budget_ratio, config.retry_budget_burst);
+    let schedule = BackoffSchedule::new(BACKOFF_BASE_MS, config.seed.child("backoff"));
+    let mut budget = RetryBudget::new(RETRY_BUDGET_RATIO, RETRY_BUDGET_BURST);
     let mut stats = ReplayStats::default();
-    let mut monitor = config.slo.clone().map(SloMonitor::new);
+    let mut monitor = config.slo.then(SloMonitor::default);
     let mut clock_ms = 0u64;
 
-    for batch in ops.chunks(config.batch.max(1)) {
+    for batch in ops.chunks(BATCH) {
         // Pipeline the whole batch: stamp, write, flush once.
         let mut pending = Vec::with_capacity(batch.len());
         for &op in batch {
-            clock_ms += step_ms;
+            clock_ms += STEP_MS;
             budget.deposit();
             let trace_id = config.trace_base + stats.requests_sent;
-            write_op(&mut writer, op, clock_ms, config.deadline_ms, trace_id)?;
+            write_op(&mut writer, op, clock_ms, trace_id)?;
             stats.requests_sent += 1;
             pending.push((op, clock_ms, trace_id));
         }
@@ -372,7 +367,7 @@ pub fn replay(
         }
         for (op, mut response) in retry_queue {
             let mut attempt = 0;
-            while retryable(response.status) && attempt < config.max_attempts {
+            while retryable(response.status) && attempt < MAX_ATTEMPTS {
                 if !budget.try_spend() {
                     stats.retries_denied += 1;
                     break;
@@ -384,7 +379,7 @@ pub fn replay(
                     .saturating_add(hinted)
                     .saturating_add(schedule.delay_ms(attempt));
                 let trace_id = config.trace_base + stats.requests_sent;
-                write_op(&mut writer, op, clock_ms, config.deadline_ms, trace_id)?;
+                write_op(&mut writer, op, clock_ms, trace_id)?;
                 writer.flush()?;
                 stats.requests_sent += 1;
                 stats.retries += 1;
@@ -498,9 +493,7 @@ mod tests {
             "mixed",
             &trace(&[(1, 0), (2, 1), (3, 8), (4, 8), (5, 9), (6, 2), (7, 9)]),
         );
-        let mut config = ReplayConfig::new(Seed::new(7));
-        config.rankings_every = 4;
-        config.download_every = 3;
+        let config = ReplayConfig::new(Seed::new(7));
         let stats = with_server(&dataset, &serve_config(), |handle| {
             replay(handle.addr(), &workload, &config).unwrap()
         });
@@ -509,8 +502,8 @@ mod tests {
         // warm apps 2 and 3 (capacity 4), so 2's later fetch does too.
         assert_eq!(stats.app_backing, 3);
         assert_eq!(stats.app_edge_hits, 4);
-        assert_eq!(stats.rankings_fresh, 2, "indices 0 and 4");
-        assert_eq!(stats.downloads_ok, 3, "indices 0, 3 and 6");
+        assert_eq!(stats.rankings_fresh, 1, "before app request 0");
+        assert_eq!(stats.downloads_ok, 1, "after app request 0");
         assert_eq!(stats.sheds(), 0);
         assert_eq!(stats.retries, 0);
         assert!(stats.hit_rate() > 0.57 && stats.hit_rate() < 0.58);
@@ -536,18 +529,17 @@ mod tests {
     #[test]
     fn failed_requests_retry_under_the_budget_and_recover() {
         let dataset = test_dataset(16);
-        // Request index 2 (the third request of the replay stream) hits
-        // an injected I/O error; the client retries and succeeds.
+        // The stream is rankings, app 0, download, app 1, app 2, app 3:
+        // request index 3 (app 1) hits an injected I/O error; the client
+        // retries and succeeds.
         let plan = FaultPlan::seeded(17).rule(
             SITE_SERVE_HANDLER,
             FaultKind::IoError,
-            FaultTrigger::AtIndex(2),
+            FaultTrigger::AtIndex(3),
         );
         let injector = FaultInjector::new(plan);
         let workload = Workload::from_trace("retry", &trace(&[(1, 0), (2, 1), (3, 2), (4, 3)]));
-        let mut config = ReplayConfig::new(Seed::new(5));
-        config.rankings_every = 0;
-        config.download_every = 0;
+        let config = ReplayConfig::new(Seed::new(5));
         let stats = with_injector(&injector, || {
             with_server(&dataset, &serve_config(), |handle| {
                 replay(handle.addr(), &workload, &config).unwrap()
@@ -557,7 +549,7 @@ mod tests {
         assert_eq!(stats.retries, 1, "one retry fixed it");
         assert_eq!(stats.app_ok, 4, "all four app pages served in the end");
         assert_eq!(stats.exhausted, 0);
-        assert_eq!(stats.requests_sent, 5);
+        assert_eq!(stats.requests_sent, 7);
     }
 
     #[test]
@@ -566,7 +558,7 @@ mod tests {
         let events: Vec<(u32, u32)> = (0..30).map(|i| (i, i % 4)).collect();
         let workload = Workload::from_trace("clean", &trace(&events));
         let mut config = ReplayConfig::new(Seed::new(12));
-        config.slo = Some(SloPolicy::replay_default());
+        config.slo = true;
         let stats = with_server(&dataset, &serve_config(), |handle| {
             replay(handle.addr(), &workload, &config).unwrap()
         });
@@ -605,11 +597,7 @@ mod tests {
         let injector = FaultInjector::new(plan);
         let events: Vec<(u32, u32)> = (0..40).map(|i| (i, i % 8)).collect();
         let workload = Workload::from_trace("storm", &trace(&events));
-        let mut config = ReplayConfig::new(Seed::new(6));
-        config.rankings_every = 0;
-        config.download_every = 0;
-        config.retry_budget_ratio = 0.1;
-        config.retry_budget_burst = 2;
+        let config = ReplayConfig::new(Seed::new(6));
         let stats = with_injector(&injector, || {
             with_server(&dataset, &serve_config(), |handle| {
                 replay(handle.addr(), &workload, &config).unwrap()
@@ -618,6 +606,7 @@ mod tests {
         assert_eq!(stats.app_ok, 0);
         assert!(stats.retries_denied > 0, "budget said no at some point");
         // Budget cap: burst + ratio * fresh traffic, never more.
-        assert!(stats.retries <= 2 + (events.len() as u64) / 10 + 1);
+        let fresh = stats.requests_sent - stats.retries;
+        assert!(stats.retries <= RETRY_BUDGET_BURST + fresh / 10 + 1);
     }
 }

@@ -41,9 +41,8 @@
 use crate::balancer::{BackingTier, TierError as BackingError};
 use crate::deadline::Deadline;
 use crate::edge::{EdgeCache, RankingsView};
-use crate::hedge::HedgePolicy;
 use crate::http::{read_request, HttpRequest, HttpResponse};
-use crate::queue::{AdmissionPolicy, BoundedQueue};
+use crate::queue::BoundedQueue;
 use crate::telemetry::{self, HealthState, StatusSnapshot};
 use crate::SITE_SERVE_HANDLER;
 use appstore_core::faults::{self, FaultKind};
@@ -71,39 +70,51 @@ pub const EDGE_CLIENT_ADDR: u32 = u32::MAX;
 /// the arrival order, so the traced set is thread-count invariant.
 pub const TRACE_SAMPLE_EVERY: u64 = 500;
 
-/// Serving-layer configuration.
+/// Worker threads handling connections.
+const WORKERS: usize = 2;
+
+/// Accept-queue capacity: arrivals finding this many connections
+/// queued are shed with `503 queue-full`.
+const QUEUE_CAPACITY: usize = 1_024;
+
+/// Default per-request deadline budget (virtual ms) when the client
+/// does not propagate one via `X-Deadline-Ms`.
+const DEADLINE_MS: u64 = 1_000;
+
+/// Virtual base cost charged per request for parse/route work.
+const HANDLER_COST_MS: u64 = 1;
+
+/// Virtual cost charged per download-endpoint request.
+const DOWNLOAD_COST_MS: u64 = 5;
+
+/// The day of store state the server fronts.
+const DAY: Day = Day(0);
+
+/// Backing-store policy applied to every replica in the tier: generous
+/// per-client token buckets, default latency.
+fn backing_policy() -> ServerPolicy {
+    ServerPolicy {
+        requests_per_second: 2_000.0,
+        burst: 4_000,
+        ..ServerPolicy::default()
+    }
+}
+
+/// What varies between servers: edge sizing, rankings TTL, replica
+/// count, seed, and the flight-recorder dump path.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads handling connections.
-    pub workers: usize,
-    /// Accept-queue admission policy.
-    pub admission: AdmissionPolicy,
-    /// Default per-request deadline budget (virtual ms) when the
-    /// client does not propagate one via `X-Deadline-Ms`.
-    pub deadline_ms: u64,
-    /// Virtual base cost charged per request for parse/route work.
-    pub handler_cost_ms: u64,
-    /// Virtual cost charged per download-endpoint request.
-    pub download_cost_ms: u64,
     /// App pages held at the edge.
     pub cache_capacity: usize,
     /// Apps (by popularity rank 0..n) pre-filled at the edge.
     pub warm_apps: usize,
     /// Virtual TTL of the edge's rankings copy.
     pub rankings_ttl_ms: u64,
-    /// The day of store state this server fronts.
-    pub day: Day,
-    /// Backing-store policy (per-client token buckets, latency),
-    /// applied to every replica in the tier.
-    pub backing: ServerPolicy,
     /// Replicas in the backing tier (clamped to at least one). One
     /// replica reproduces the single-backing behaviour exactly.
     pub replicas: usize,
-    /// Hedged-read policy for the backing tier (delay clamp, hedge
-    /// fraction, per-replica retry budget).
-    pub hedge: HedgePolicy,
-    /// Seed driving the tier's routing and hedge decisions (and each
-    /// replica's drift direction).
+    /// Seed driving the tier's routing decisions (and each replica's
+    /// drift direction).
     pub seed: Seed,
     /// Where to dump the flight recorder when a handler panic is
     /// caught (`None` disables the dump, not the recorder).
@@ -112,25 +123,14 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A deterministic default sized for tests and the replay
-    /// experiment: 2 workers, generous queue, generous backing limits.
+    /// experiment: a 64-app cold edge, a 10 s rankings TTL, and one
+    /// backing replica.
     pub fn replay_default(seed: Seed) -> ServeConfig {
         ServeConfig {
-            workers: 2,
-            admission: AdmissionPolicy::generous(seed.child("admission")),
-            deadline_ms: 1_000,
-            handler_cost_ms: 1,
-            download_cost_ms: 5,
             cache_capacity: 64,
             warm_apps: 0,
             rankings_ttl_ms: 10_000,
-            day: Day(0),
-            backing: ServerPolicy {
-                requests_per_second: 2_000.0,
-                burst: 4_000,
-                ..ServerPolicy::default()
-            },
             replicas: 1,
-            hedge: HedgePolicy::default(),
             seed: seed.child("tier"),
             flight_dump: None,
         }
@@ -185,7 +185,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Shared<'a> {
     tier: Mutex<BackingTier<'a>>,
     dataset: &'a Dataset,
-    config: ServeConfig,
+    flight_dump: Option<PathBuf>,
     edge: Mutex<EdgeCache>,
     request_index: AtomicU64,
     fallback_clock_ms: AtomicU64,
@@ -204,13 +204,13 @@ struct Shared<'a> {
 impl<'a> Shared<'a> {
     fn new(
         dataset: &'a Dataset,
-        config: ServeConfig,
+        config: &ServeConfig,
         queue: Arc<BoundedQueue<TcpStream>>,
     ) -> Shared<'a> {
         let mut edge = EdgeCache::new(config.cache_capacity, config.rankings_ttl_ms);
         // Warm start (the paper's §5 setup): the most popular apps —
         // app id == popularity rank — are already at the edge.
-        if let Some(snapshot) = dataset.snapshots.iter().find(|s| s.day == config.day) {
+        if let Some(snapshot) = dataset.snapshots.iter().find(|s| s.day == DAY) {
             for observation in snapshot.observations.iter().take(config.warm_apps) {
                 let payload = encode_response(&Response::AppPage {
                     observation: *observation,
@@ -223,17 +223,11 @@ impl<'a> Shared<'a> {
         // health ledgers — the crawler's state machine unchanged),
         // seeded two-choice routing, and budgeted hedges. One replica
         // degenerates to the old single-backing path exactly.
-        let tier = BackingTier::new(
-            dataset,
-            config.replicas,
-            config.backing,
-            config.hedge,
-            config.seed,
-        );
+        let tier = BackingTier::new(dataset, config.replicas, backing_policy(), config.seed);
         Shared {
             tier: Mutex::new(tier),
             dataset,
-            config,
+            flight_dump: config.flight_dump.clone(),
             edge: Mutex::new(edge),
             request_index: AtomicU64::new(0),
             fallback_clock_ms: AtomicU64::new(0),
@@ -305,7 +299,6 @@ fn rankings(
             .with_body(payload);
     }
     // Missing or stale: try a refresh through the breaker.
-    let day = shared.config.day;
     match call_backing(
         shared,
         EDGE_CLIENT_ADDR,
@@ -313,7 +306,7 @@ fn rankings(
         index,
         deadline,
         notes,
-        Request::Index { day },
+        Request::Index { day: DAY },
     ) {
         Ok(payload) => {
             lock(&shared.edge).put_rankings(payload.clone(), now_ms);
@@ -372,7 +365,6 @@ fn app_page(
             .with_body(payload);
     }
     notes.edge = Some("miss");
-    let day = shared.config.day;
     match call_backing(
         shared,
         client,
@@ -382,7 +374,7 @@ fn app_page(
         notes,
         Request::AppPage {
             app: appstore_core::AppId(app),
-            day,
+            day: DAY,
         },
     ) {
         Ok(payload) => {
@@ -414,7 +406,7 @@ fn download(shared: &Shared<'_>, request: &HttpRequest, deadline: &mut Deadline)
     let Some(app) = request.query_u64("app") else {
         return HttpResponse::new(400);
     };
-    deadline.charge(shared.config.download_cost_ms);
+    deadline.charge(DOWNLOAD_COST_MS);
     if deadline.exceeded() {
         appstore_obs::counter(names::SERVE_SHEDS_DEADLINE, 1);
         return shed(504, "deadline", 1_000);
@@ -440,9 +432,7 @@ fn handle_request(
     now_ms: u64,
     notes: &mut TraceNotes,
 ) -> HttpResponse {
-    let budget = request
-        .header_u64("x-deadline-ms")
-        .unwrap_or(shared.config.deadline_ms);
+    let budget = request.header_u64("x-deadline-ms").unwrap_or(DEADLINE_MS);
     let mut deadline = Deadline::new(budget);
     notes.deadline_budget_ms = budget;
     let response = route_request(shared, request, index, now_ms, &mut deadline, notes);
@@ -473,7 +463,7 @@ fn route_request(
         // kind that leaks here is a no-op by construction.
         _ => {}
     }
-    deadline.charge(shared.config.handler_cost_ms);
+    deadline.charge(HANDLER_COST_MS);
     if deadline.exceeded() {
         appstore_obs::counter(names::SERVE_SHEDS_DEADLINE, 1);
         return shed(504, "deadline", 1_000);
@@ -511,7 +501,7 @@ fn admin_rejoin(shared: &Shared<'_>) -> HttpResponse {
 /// page. Any repair also drops the edge's cached rankings copy: a copy
 /// cached off drifted state must not outlive the repair.
 fn admin_reconcile(shared: &Shared<'_>) -> HttpResponse {
-    let report = lock(&shared.tier).reconcile(shared.config.day);
+    let report = lock(&shared.tier).reconcile(DAY);
     if report.repaired() > 0 {
         lock(&shared.edge).drop_rankings();
     }
@@ -753,7 +743,7 @@ fn guarded_handle(shared: &Shared<'_>, request: &HttpRequest) -> HttpResponse {
         );
     }
     if panicked {
-        if let Some(path) = &shared.config.flight_dump {
+        if let Some(path) = &shared.flight_dump {
             let _ = shared.flight.dump_to_file(path);
         }
     }
@@ -808,8 +798,8 @@ pub fn with_server<R>(
     config: &ServeConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> R {
-    let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(config.admission.clone()));
-    let shared = Shared::new(dataset, config.clone(), Arc::clone(&queue));
+    let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(QUEUE_CAPACITY));
+    let shared = Shared::new(dataset, config, Arc::clone(&queue));
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let stop = AtomicBool::new(false);
@@ -825,7 +815,7 @@ pub fn with_server<R>(
         let shared = &shared;
         let queue = &queue;
         let stop = &stop;
-        for _ in 0..config.workers.max(1) {
+        for _ in 0..WORKERS {
             let obs_context = obs_context.clone();
             let injector = injector.clone();
             scope.spawn(move || {
@@ -850,8 +840,7 @@ pub fn with_server<R>(
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    let (_, rejected) = queue.push(stream);
-                    if let Some(rejected) = rejected {
+                    if let Err(rejected) = queue.push(stream) {
                         // Explicit load shed at the front door: the
                         // client gets told to back off, not a hang.
                         appstore_obs::counter(names::SERVE_SHEDS_QUEUE, 1);
