@@ -11,12 +11,15 @@
 //!   against the plain run, and `--no-timings` metrics snapshots
 //!   byte-compared across thread and shard counts within the streaming
 //!   path (streaming generation skips snapshot materialization, so its
-//!   store metrics legitimately differ from the batch path).
+//!   store metrics legitimately differ from the batch path);
+//! * telemetry — the `"streaming"` JSON block of each experiment (shard
+//!   count, spill bytes, quantile bound, SpaceSaving `top_apps`) is
+//!   pinned to `tests/golden/streaming-telemetry.json`.
 
 use appstore_core::Seed;
 use bench::{run_experiment, run_streaming_experiment, Stores, StreamingStores, STREAMING_IDS};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const SEED: u64 = 2013;
@@ -235,5 +238,52 @@ fn repro_streaming_rejects_non_streaming_ids() {
         Some(2),
         "expected usage-error exit:\n{}",
         String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+fn golden_telemetry_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/streaming-telemetry.json")
+}
+
+/// The `"streaming"` block of every streaming experiment's JSON is
+/// pinned byte-for-byte: stdout equivalence cannot see it, and its
+/// `top_apps` rows are the only output of the SpaceSaving sketch.
+/// `GOLDEN_BLESS=1` rewrites the golden instead of diffing it.
+#[test]
+fn streaming_telemetry_matches_golden() {
+    let dir = temp_dir("telemetry");
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "64", "--seed", &SEED.to_string()])
+        .args(["--streaming", "--shards", "3", "--json"])
+        .arg(&dir)
+        .args(STREAMING_IDS)
+        .output()
+        .expect("spawn repro");
+    assert!(
+        output.status.success(),
+        "repro --streaming --json failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let mut telemetry = serde_json::Value::Object(Vec::new());
+    for id in STREAMING_IDS {
+        let text = std::fs::read_to_string(dir.join(format!("{id}.json"))).expect("read json");
+        let result = serde_json::parse_value(&text).expect("valid json");
+        let block = result.get("streaming").expect("streaming block").clone();
+        telemetry.set(id, block);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let actual = serde_json::to_string_pretty(&telemetry).expect("serialize") + "\n";
+    let path = golden_telemetry_path();
+    if std::env::var("GOLDEN_BLESS").is_ok() {
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("missing golden {} — run scripts/bless.sh", path.display()));
+    assert!(
+        expected == actual,
+        "streaming telemetry drifted from golden {}.\n\
+         --- golden ---\n{expected}\n--- actual ---\n{actual}",
+        path.display()
     );
 }

@@ -25,7 +25,7 @@
 use crate::faults::{self, FaultKind};
 use crate::journal::{seal, unseal, Unsealed};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Injection site: one sealed chunk appended to a spill file.
@@ -96,30 +96,45 @@ fn base64_encode(bytes: &[u8]) -> String {
     out
 }
 
-fn base64_decode(text: &str) -> Option<Vec<u8>> {
-    fn value_of(c: u8) -> Option<u32> {
-        match c {
-            b'A'..=b'Z' => Some(u32::from(c - b'A')),
-            b'a'..=b'z' => Some(u32::from(c - b'a') + 26),
-            b'0'..=b'9' => Some(u32::from(c - b'0') + 52),
-            b'+' => Some(62),
-            b'/' => Some(63),
-            _ => None,
-        }
+/// Marks a byte outside the base64 alphabet in [`BASE64_DECODE`].
+const INVALID: u8 = 0xFF;
+
+/// 6-bit value of every alphabet byte; [`INVALID`] for all others,
+/// `=` included (padding is recognised by position, not by table).
+const BASE64_DECODE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
     }
-    let bytes = text.as_bytes();
+    table
+};
+
+fn base64_decode(bytes: &[u8]) -> Option<Vec<u8>> {
     if !bytes.len().is_multiple_of(4) {
         return None;
     }
     let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-    for quad in bytes.chunks(4) {
-        let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
-        if pad > 2 || quad[..4 - pad].contains(&b'=') {
-            return None;
-        }
+    for quad in bytes.chunks_exact(4) {
+        // At most two trailing `=`; a third (or one further in) is not
+        // in the table and rejects the quad below.
+        let pad = match quad {
+            [.., b'=', b'='] => 2,
+            [.., b'='] => 1,
+            _ => 0,
+        };
         let mut triple = 0u32;
+        let mut seen = 0u8;
         for &c in &quad[..4 - pad] {
-            triple = (triple << 6) | value_of(c)?;
+            let value = BASE64_DECODE[usize::from(c)];
+            seen |= value;
+            triple = (triple << 6) | u32::from(value);
+        }
+        // Alphabet values fit in six bits, so the OR reaches INVALID
+        // exactly when some byte was not in the alphabet.
+        if seen == INVALID {
+            return None;
         }
         triple <<= 6 * pad;
         out.push((triple >> 16) as u8);
@@ -158,7 +173,7 @@ pub fn decode_chunk(payload: &str) -> Option<(String, Vec<Vec<u64>>)> {
     }
     let kind = parts.next()?.to_string();
     let cols: usize = parts.next()?.parse().ok()?;
-    let body = base64_decode(parts.next()?)?;
+    let body = base64_decode(parts.next()?.as_bytes())?;
     let mut pos = 0usize;
     let mut columns = Vec::with_capacity(cols);
     for _ in 0..cols {
@@ -236,6 +251,20 @@ impl ShardPlan {
 
 // --- writer ----------------------------------------------------------
 
+/// True when `file` is non-empty and its last byte is not a newline.
+/// Reads that one byte only, so checking a long merge log costs the
+/// same as checking a short one.
+fn ends_torn(file: &mut File) -> std::io::Result<bool> {
+    let len = file.metadata()?.len();
+    if len == 0 {
+        return Ok(false);
+    }
+    let mut last = [0u8; 1];
+    file.seek(SeekFrom::Start(len - 1))?;
+    file.read_exact(&mut last)?;
+    Ok(last[0] != b'\n')
+}
+
 /// Appends sealed columnar chunks to one spill file.
 ///
 /// The writer consults the fault injector at [`SITE_SPILL_WRITE`] once
@@ -266,14 +295,12 @@ impl SpillWriter {
     /// so the next sealed chunk starts clean; the torn line then reads
     /// as one quarantined/torn entry, never as part of a new chunk.
     pub fn open_append(path: &Path) -> std::io::Result<SpillWriter> {
-        let needs_newline = match std::fs::read(path) {
-            Ok(bytes) => !bytes.is_empty() && bytes.last() != Some(&b'\n'),
-            Err(_) => false,
-        };
-        let file = std::fs::OpenOptions::new()
+        let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
+            .read(true)
             .open(path)?;
+        let needs_newline = ends_torn(&mut file)?;
         let mut writer = BufWriter::new(file);
         if needs_newline {
             writer.write_all(b"\n")?;
@@ -495,11 +522,171 @@ mod tests {
         for len in 0..32usize {
             let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
             let text = base64_encode(&bytes);
-            assert_eq!(base64_decode(&text).unwrap(), bytes, "len {len}");
+            assert_eq!(base64_decode(text.as_bytes()).unwrap(), bytes, "len {len}");
         }
-        assert_eq!(base64_decode("a"), None, "bad length");
-        assert_eq!(base64_decode("a=b="), None, "interior padding");
-        assert_eq!(base64_decode("a!=="), None, "bad alphabet");
+        assert_eq!(base64_decode(b"a"), None, "bad length");
+        assert_eq!(base64_decode(b"a=b="), None, "interior padding");
+        assert_eq!(base64_decode(b"a!=="), None, "bad alphabet");
+    }
+
+    /// The per-character `match` decoder the lookup table replaced; the
+    /// table decoder must accept and reject exactly what it does.
+    fn base64_decode_reference(bytes: &[u8]) -> Option<Vec<u8>> {
+        fn value_of(c: u8) -> Option<u32> {
+            match c {
+                b'A'..=b'Z' => Some(u32::from(c - b'A')),
+                b'a'..=b'z' => Some(u32::from(c - b'a') + 26),
+                b'0'..=b'9' => Some(u32::from(c - b'0') + 52),
+                b'+' => Some(62),
+                b'/' => Some(63),
+                _ => None,
+            }
+        }
+        if !bytes.len().is_multiple_of(4) {
+            return None;
+        }
+        let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
+        for quad in bytes.chunks(4) {
+            let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
+            if pad > 2 || quad[..4 - pad].contains(&b'=') {
+                return None;
+            }
+            let mut triple = 0u32;
+            for &c in &quad[..4 - pad] {
+                triple = (triple << 6) | value_of(c)?;
+            }
+            triple <<= 6 * pad;
+            out.push((triple >> 16) as u8);
+            if pad < 2 {
+                out.push((triple >> 8) as u8);
+            }
+            if pad < 1 {
+                out.push(triple as u8);
+            }
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn base64_decoder_edge_cases_match_reference() {
+        let cases: [&[u8]; 14] = [
+            b"",
+            b"====",
+            b"A===",
+            b"AA==",
+            b"AAA=",
+            b"AAAA",
+            b"=AAA",
+            b"A=A=",
+            b"AA==AAAA",
+            b"AA=\n",
+            b"AA\x00=",
+            b"AA\xff=",
+            b"QUJD\x80QUJ",
+            b"QUJDQ",
+        ];
+        for case in cases {
+            assert_eq!(
+                base64_decode(case),
+                base64_decode_reference(case),
+                "{case:?}"
+            );
+        }
+    }
+
+    /// Alphabet bytes, `=`, and bytes the alphabet lacks (`\n`, space,
+    /// `-`, `_`, 0x00, ≥ 0x80) drawn with weights that make valid quads
+    /// and near-miss quads both common.
+    fn mixed_byte(choice: u8, raw: u8) -> u8 {
+        match choice {
+            0..=11 => BASE64_ALPHABET[usize::from(raw) % 64],
+            12..=13 => b'=',
+            14 => [b'\n', b' ', b'-', b'_', 0x00, b'.'][usize::from(raw) % 6],
+            _ => raw | 0x80,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn base64_decoder_matches_reference_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+        ) {
+            proptest::prop_assert_eq!(base64_decode(&bytes), base64_decode_reference(&bytes));
+        }
+
+        #[test]
+        fn base64_decoder_matches_reference_on_near_alphabet_bytes(
+            drawn in proptest::collection::vec((0u8..16, proptest::prelude::any::<u8>()), 0..48),
+            trim in 0usize..4,
+        ) {
+            let mut bytes: Vec<u8> = drawn.iter().map(|&(c, r)| mixed_byte(c, r)).collect();
+            // Mostly whole quads, sometimes a bad length.
+            let keep = bytes.len() - bytes.len() % 4;
+            bytes.truncate(if trim == 0 { bytes.len() } else { keep });
+            proptest::prop_assert_eq!(base64_decode(&bytes), base64_decode_reference(&bytes));
+        }
+
+        #[test]
+        fn base64_decoder_matches_reference_on_encoded_bytes(
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            flip in (0usize..128, proptest::prelude::any::<u8>()),
+        ) {
+            let mut text = base64_encode(&payload).into_bytes();
+            proptest::prop_assert_eq!(base64_decode(&text), Some(payload.clone()));
+            // One damaged byte anywhere, then both must agree.
+            if !text.is_empty() {
+                let at = flip.0 % text.len();
+                text[at] = flip.1;
+            }
+            proptest::prop_assert_eq!(base64_decode(&text), base64_decode_reference(&text));
+        }
+    }
+
+    #[test]
+    fn open_append_terminates_only_a_torn_tail() {
+        let dir = temp_dir("append");
+        let path = spill_path(&dir, "log");
+        let lines_of = |path: &Path| -> Vec<String> {
+            std::fs::read_to_string(path)
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect()
+        };
+        // Absent, then empty: nothing to terminate.
+        let mut writer = SpillWriter::open_append(&path).unwrap();
+        writer.append("fold", &[&[1]]).unwrap();
+        writer.finish().unwrap();
+        std::fs::write(&path, b"").unwrap();
+        let mut writer = SpillWriter::open_append(&path).unwrap();
+        writer.append("fold", &[&[1]]).unwrap();
+        writer.finish().unwrap();
+        assert_eq!(lines_of(&path).len(), 1, "empty file gains one line");
+        // Newline-terminated: appends directly, no blank line.
+        let mut writer = SpillWriter::open_append(&path).unwrap();
+        writer.append("fold", &[&[2]]).unwrap();
+        writer.finish().unwrap();
+        let lines = lines_of(&path);
+        assert_eq!(lines.len(), 2);
+        assert!(lines.iter().all(|line| !line.is_empty()));
+        // Torn tail: the torn line is closed off, the new chunk reads.
+        let mut text = std::fs::read(&path).unwrap();
+        text.extend_from_slice(b"0badc0de c fold 1 AQ");
+        std::fs::write(&path, &text).unwrap();
+        let mut writer = SpillWriter::open_append(&path).unwrap();
+        writer.append("fold", &[&[3]]).unwrap();
+        writer.finish().unwrap();
+        let lines = lines_of(&path);
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[2], "0badc0de c fold 1 AQ");
+        let mut values = Vec::new();
+        let health = fold_spill_file(&path, |_, cols| values.push(cols[0][0])).unwrap();
+        assert_eq!(values, vec![1, 2, 3]);
+        assert_eq!(health.quarantined, 1, "the torn line is quarantined");
+        assert!(!health.torn_tail);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

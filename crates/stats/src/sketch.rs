@@ -19,7 +19,8 @@
 //!   key whose true count exceeds [`SpaceSaving::min_count`] is
 //!   guaranteed present, a property the merge preserves.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Deterministic KLL-style quantile sketch over `u64` values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,45 +160,101 @@ impl QuantileSketch {
 }
 
 /// SpaceSaving heavy-hitter summary over `u64` keys.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Entries live in a flat slot array indexed by a key → slot map, so a
+/// hit is one hash lookup and a count bump. Eviction takes the exact
+/// `(count, key)`-minimal entry from a lazy min-heap: hits never touch
+/// the heap, so a heap entry may record a count below its key's current
+/// one. Counts only grow, so a stale entry never sits *above* its key's
+/// true `(count, key)`; a popped entry that is stale is pushed back with
+/// its current count, and the first fresh pop is the true minimum.
+#[derive(Clone)]
 pub struct SpaceSaving {
     capacity: usize,
-    /// key → (estimated count, overcount at adoption).
-    entries: BTreeMap<u64, (u64, u64)>,
+    /// Tracked entries, one per key, in no particular order.
+    slots: Vec<Slot>,
+    /// key → index into `slots`. Only looked up, never iterated, so
+    /// its order cannot reach any output.
+    index: HashMap<u64, usize>,
+    /// One `(count, key)` per tracked key; the count may be stale low.
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
     total: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    key: u64,
+    /// Estimated count.
+    count: u64,
+    /// Overcount inherited at adoption.
+    over: u64,
 }
 
 impl SpaceSaving {
     /// A summary tracking at most `capacity` keys (clamped to ≥ 1).
     pub fn new(capacity: usize) -> SpaceSaving {
+        let capacity = capacity.max(1);
         SpaceSaving {
-            capacity: capacity.max(1),
-            entries: BTreeMap::new(),
+            capacity,
+            slots: Vec::with_capacity(capacity),
+            index: HashMap::with_capacity(capacity),
+            heap: BinaryHeap::with_capacity(capacity),
             total: 0,
         }
+    }
+
+    /// Builds a summary from `(key, (count, overcount))` entries with
+    /// distinct keys, at most `capacity` of them.
+    fn from_entries(
+        capacity: usize,
+        entries: impl IntoIterator<Item = (u64, (u64, u64))>,
+        total: u64,
+    ) -> SpaceSaving {
+        let mut summary = SpaceSaving::new(capacity);
+        for (key, (count, over)) in entries {
+            summary.insert(key, count, over);
+        }
+        summary.total = total;
+        summary
+    }
+
+    fn insert(&mut self, key: u64, count: u64, over: u64) {
+        self.index.insert(key, self.slots.len());
+        self.slots.push(Slot { key, count, over });
+        self.heap.push(Reverse((count, key)));
     }
 
     /// Offers `weight` occurrences of `key`.
     pub fn offer(&mut self, key: u64, weight: u64) {
         self.total += weight;
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.0 += weight;
+        if let Some(&slot) = self.index.get(&key) {
+            self.slots[slot].count += weight;
             return;
         }
-        if self.entries.len() < self.capacity {
-            self.entries.insert(key, (weight, 0));
+        if self.slots.len() < self.capacity {
+            self.insert(key, weight, 0);
             return;
         }
         // Evict the (count, key)-minimal entry; the newcomer inherits
         // its count as overcount — the classic SpaceSaving step.
-        let (&victim_key, &(victim_count, _)) = self
-            .entries
-            .iter()
-            .min_by_key(|(&k, &(count, _))| (count, k))
-            .expect("capacity >= 1");
-        self.entries.remove(&victim_key);
-        self.entries
-            .insert(key, (victim_count + weight, victim_count));
+        let (slot, victim_count) = loop {
+            let Reverse((count, victim)) = self.heap.pop().expect("one heap entry per key");
+            let slot = self.index[&victim];
+            let current = self.slots[slot].count;
+            if current == count {
+                self.index.remove(&victim);
+                break (slot, count);
+            }
+            self.heap.push(Reverse((current, victim)));
+        };
+        let count = victim_count + weight;
+        self.slots[slot] = Slot {
+            key,
+            count,
+            over: victim_count,
+        };
+        self.index.insert(key, slot);
+        self.heap.push(Reverse((count, key)));
     }
 
     /// Merges `other` into `self`, then trims back to capacity keeping
@@ -206,40 +263,27 @@ impl SpaceSaving {
     /// which preserves both guarantees (estimate ≥ true ≥ estimate −
     /// overcount) under merge.
     pub fn merge(&mut self, other: &SpaceSaving) {
-        let self_floor = if self.entries.len() < self.capacity {
-            0
-        } else {
-            self.min_count()
-        };
-        let other_floor = if other.entries.len() < other.capacity {
-            0
-        } else {
-            other.min_count()
-        };
+        let self_floor = self.min_count();
+        let other_floor = other.min_count();
         let mut merged: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for (&key, &(count, over)) in &self.entries {
-            let (extra, extra_over) = match other.entries.get(&key) {
-                Some(&(c, o)) => (c, o),
+        for slot in &self.slots {
+            let (extra, extra_over) = match other.index.get(&slot.key) {
+                Some(&i) => (other.slots[i].count, other.slots[i].over),
                 None => (other_floor, other_floor),
             };
-            merged.insert(key, (count + extra, over + extra_over));
+            merged.insert(slot.key, (slot.count + extra, slot.over + extra_over));
         }
-        for (&key, &(count, over)) in &other.entries {
+        for slot in &other.slots {
             merged
-                .entry(key)
-                .or_insert((count + self_floor, over + self_floor));
+                .entry(slot.key)
+                .or_insert((slot.count + self_floor, slot.over + self_floor));
         }
-        // Trim to capacity, keeping the largest estimates (ties broken
-        // toward smaller keys so the result is deterministic).
-        while merged.len() > self.capacity {
-            let (&victim, _) = merged
-                .iter()
-                .min_by_key(|(&k, &(count, _))| (count, k))
-                .expect("nonempty");
-            merged.remove(&victim);
-        }
-        self.entries = merged;
-        self.total += other.total;
+        // Trim to capacity by dropping the (count, key)-smallest entries,
+        // so the result is deterministic.
+        let mut kept: Vec<(u64, (u64, u64))> = merged.into_iter().collect();
+        kept.sort_unstable_by_key(|&(key, (count, _))| Reverse((count, key)));
+        kept.truncate(self.capacity);
+        *self = SpaceSaving::from_entries(self.capacity, kept, self.total + other.total);
     }
 
     /// Total weight offered (exact).
@@ -251,25 +295,22 @@ impl SpaceSaving {
     /// Any key with true count strictly above this is guaranteed
     /// present in the summary.
     pub fn min_count(&self) -> u64 {
-        if self.entries.len() < self.capacity {
+        if self.slots.len() < self.capacity {
             return 0;
         }
-        self.entries
-            .values()
-            .map(|&(count, _)| count)
-            .min()
-            .unwrap_or(0)
+        self.slots.iter().map(|slot| slot.count).min().unwrap_or(0)
     }
 
     /// Full state as `(entries, total)`, entries sorted by key as
     /// `(key, estimate, overcount)` — the checkpoint form a resumable
     /// fold writes to disk. [`SpaceSaving::restore`] inverts it exactly.
     pub fn snapshot(&self) -> (Vec<(u64, u64, u64)>, u64) {
-        let entries = self
-            .entries
+        let mut entries: Vec<(u64, u64, u64)> = self
+            .slots
             .iter()
-            .map(|(&key, &(count, over))| (key, count, over))
+            .map(|slot| (slot.key, slot.count, slot.over))
             .collect();
+        entries.sort_unstable();
         (entries, self.total)
     }
 
@@ -277,29 +318,47 @@ impl SpaceSaving {
     /// `capacity` are ignored (a snapshot from a larger summary keeps
     /// its largest estimates).
     pub fn restore(capacity: usize, entries: &[(u64, u64, u64)], total: u64) -> SpaceSaving {
-        let mut summary = SpaceSaving::new(capacity);
+        let capacity = capacity.max(1);
         let mut sorted: Vec<(u64, u64, u64)> = entries.to_vec();
         sorted.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        sorted.truncate(summary.capacity);
-        for (key, count, over) in sorted {
-            summary.entries.insert(key, (count, over));
-        }
-        summary.total = total;
-        summary
+        sorted.truncate(capacity);
+        // A repeated key keeps its last (smallest) entry, as a map would.
+        let distinct: BTreeMap<u64, (u64, u64)> = sorted
+            .into_iter()
+            .map(|(key, count, over)| (key, (count, over)))
+            .collect();
+        SpaceSaving::from_entries(capacity, distinct, total)
     }
 
     /// The top `k` keys as `(key, estimate, overcount)`, sorted by
     /// estimate descending then key ascending. `estimate` never
     /// undercounts; `estimate - overcount` never overcounts.
     pub fn top(&self, k: usize) -> Vec<(u64, u64, u64)> {
-        let mut all: Vec<(u64, u64, u64)> = self
-            .entries
-            .iter()
-            .map(|(&key, &(count, over))| (key, count, over))
-            .collect();
+        let (mut all, _) = self.snapshot();
         all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
+    }
+}
+
+/// Two summaries are equal when they have the same capacity, entries
+/// and total — slot order and heap staleness are not state.
+impl PartialEq for SpaceSaving {
+    fn eq(&self, other: &SpaceSaving) -> bool {
+        self.capacity == other.capacity && self.snapshot() == other.snapshot()
+    }
+}
+
+impl Eq for SpaceSaving {}
+
+impl std::fmt::Debug for SpaceSaving {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (entries, total) = self.snapshot();
+        f.debug_struct("SpaceSaving")
+            .field("capacity", &self.capacity)
+            .field("entries", &entries)
+            .field("total", &total)
+            .finish()
     }
 }
 

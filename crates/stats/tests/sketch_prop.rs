@@ -1,7 +1,9 @@
 //! Property tests for the mergeable sketches: the advertised error
 //! bounds must hold on random *and* adversarial inputs, and merging must
 //! commute/associate up to those bounds — the contract the out-of-core
-//! shard folds rely on.
+//! shard folds rely on. The indexed [`SpaceSaving`] is also checked
+//! against [`Reference`], the plain `BTreeMap` form of the algorithm,
+//! for identical state after every operation.
 
 use appstore_stats::{QuantileSketch, SpaceSaving};
 use proptest::prelude::*;
@@ -47,6 +49,143 @@ fn zipf_value(i: u64) -> u64 {
     let u = ((i.wrapping_mul(2_654_435_761)) % 10_000) as f64 / 10_000.0;
     // Inverse-CDF of a rough power law on [1, 10_000].
     (10_000f64.powf(u).max(1.0)) as u64
+}
+
+/// The SpaceSaving algorithm in its plainest form: a `BTreeMap` of
+/// `key → (estimate, overcount)`, with eviction and trimming by a linear
+/// scan for the `(count, key)`-minimal entry. [`SpaceSaving`] must be
+/// indistinguishable from it.
+#[derive(Debug, Clone)]
+struct Reference {
+    capacity: usize,
+    entries: BTreeMap<u64, (u64, u64)>,
+    total: u64,
+}
+
+impl Reference {
+    fn new(capacity: usize) -> Reference {
+        Reference {
+            capacity: capacity.max(1),
+            entries: BTreeMap::new(),
+            total: 0,
+        }
+    }
+
+    fn offer(&mut self, key: u64, weight: u64) {
+        self.total += weight;
+        if let Some(entry) = self.entries.get_mut(&key) {
+            entry.0 += weight;
+            return;
+        }
+        if self.entries.len() < self.capacity {
+            self.entries.insert(key, (weight, 0));
+            return;
+        }
+        let (&victim_key, &(victim_count, _)) = self
+            .entries
+            .iter()
+            .min_by_key(|(&k, &(count, _))| (count, k))
+            .expect("capacity >= 1");
+        self.entries.remove(&victim_key);
+        self.entries
+            .insert(key, (victim_count + weight, victim_count));
+    }
+
+    fn merge(&mut self, other: &Reference) {
+        let self_floor = self.min_count();
+        let other_floor = other.min_count();
+        let mut merged: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for (&key, &(count, over)) in &self.entries {
+            let (extra, extra_over) = match other.entries.get(&key) {
+                Some(&(c, o)) => (c, o),
+                None => (other_floor, other_floor),
+            };
+            merged.insert(key, (count + extra, over + extra_over));
+        }
+        for (&key, &(count, over)) in &other.entries {
+            merged
+                .entry(key)
+                .or_insert((count + self_floor, over + self_floor));
+        }
+        while merged.len() > self.capacity {
+            let (&victim, _) = merged
+                .iter()
+                .min_by_key(|(&k, &(count, _))| (count, k))
+                .expect("nonempty");
+            merged.remove(&victim);
+        }
+        self.entries = merged;
+        self.total += other.total;
+    }
+
+    fn min_count(&self) -> u64 {
+        if self.entries.len() < self.capacity {
+            return 0;
+        }
+        self.entries
+            .values()
+            .map(|&(count, _)| count)
+            .min()
+            .unwrap_or(0)
+    }
+
+    fn snapshot(&self) -> (Vec<(u64, u64, u64)>, u64) {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(&key, &(count, over))| (key, count, over))
+            .collect();
+        (entries, self.total)
+    }
+
+    fn restore(capacity: usize, entries: &[(u64, u64, u64)], total: u64) -> Reference {
+        let mut summary = Reference::new(capacity);
+        let mut sorted: Vec<(u64, u64, u64)> = entries.to_vec();
+        sorted.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        sorted.truncate(summary.capacity);
+        for (key, count, over) in sorted {
+            summary.entries.insert(key, (count, over));
+        }
+        summary.total = total;
+        summary
+    }
+
+    fn top(&self, k: usize) -> Vec<(u64, u64, u64)> {
+        let (mut all, _) = self.snapshot();
+        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    }
+}
+
+/// Asserts every observable of `ss` equals the reference's.
+fn assert_same(ss: &SpaceSaving, reference: &Reference, label: &str) {
+    assert_eq!(ss.snapshot(), reference.snapshot(), "{label}: snapshot");
+    assert_eq!(ss.min_count(), reference.min_count(), "{label}: min_count");
+    assert_eq!(ss.total(), reference.total, "{label}: total");
+    let capacity = reference.capacity;
+    for k in [0, 1, capacity / 2, capacity, capacity + 3] {
+        assert_eq!(ss.top(k), reference.top(k), "{label}: top({k})");
+    }
+}
+
+/// Maps a drawn `(raw key, raw weight)` onto a key space of
+/// `key_space` keys (small spaces tie heavily) and a weight that is 1
+/// unless `weighted`.
+fn stream(raw: &[(u64, u64)], key_space: u64, weighted: bool) -> Vec<(u64, u64)> {
+    raw.iter()
+        .map(|&(key, weight)| (key % key_space, if weighted { weight } else { 1 }))
+        .collect()
+}
+
+/// Offers `items` to both summaries, comparing state after each offer.
+fn offer_both(ss: &mut SpaceSaving, reference: &mut Reference, items: &[(u64, u64)], label: &str) {
+    for (i, &(key, weight)) in items.iter().enumerate() {
+        ss.offer(key, weight);
+        reference.offer(key, weight);
+        assert_eq!(ss.snapshot(), reference.snapshot(), "{label}: offer {i}");
+    }
+    assert_same(ss, reference, label);
 }
 
 proptest! {
@@ -207,6 +346,72 @@ proptest! {
                     prop_assert!(top.iter().any(|&(k, _, _)| k == key));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn space_saving_matches_reference(
+        raw in proptest::collection::vec((0u64..1_000_000, 1u64..6), 0..3000),
+        capacity in 1usize..65,
+        key_space in 1u64..200,
+        weighted in any::<bool>(),
+    ) {
+        let items = stream(&raw, key_space, weighted);
+        let mut ss = SpaceSaving::new(capacity);
+        let mut reference = Reference::new(capacity);
+        offer_both(&mut ss, &mut reference, &items, "offers");
+    }
+
+    #[test]
+    fn space_saving_matches_reference_after_restore(
+        raw in proptest::collection::vec((0u64..1_000_000, 1u64..6), 0..1500),
+        entries in proptest::collection::vec((0u64..60, 0u64..40, 0u64..8), 0..100),
+        capacity in 1usize..65,
+        restored_capacity in 1usize..65,
+        key_space in 1u64..120,
+        weighted in any::<bool>(),
+    ) {
+        let items = stream(&raw, key_space, weighted);
+        let (head, tail) = items.split_at(items.len() / 2);
+        let mut ss = SpaceSaving::new(capacity);
+        let mut reference = Reference::new(capacity);
+        offer_both(&mut ss, &mut reference, head, "before checkpoint");
+        // Round trip through a checkpoint, possibly into a smaller summary.
+        let (snapshot, total) = ss.snapshot();
+        let mut ss = SpaceSaving::restore(restored_capacity, &snapshot, total);
+        let mut reference = Reference::restore(restored_capacity, &snapshot, total);
+        offer_both(&mut ss, &mut reference, tail, "after restore");
+        // Arbitrary entry lists, duplicate keys included.
+        let mut ss = SpaceSaving::restore(restored_capacity, &entries, 7);
+        let mut reference = Reference::restore(restored_capacity, &entries, 7);
+        offer_both(&mut ss, &mut reference, tail, "after arbitrary restore");
+    }
+
+    #[test]
+    fn space_saving_matches_reference_after_merge(
+        left_raw in proptest::collection::vec((0u64..1_000_000, 1u64..6), 0..1200),
+        right_raw in proptest::collection::vec((0u64..1_000_000, 1u64..6), 0..1200),
+        capacities in (1usize..65, 1usize..65),
+        key_space in 1u64..150,
+        weighted in any::<bool>(),
+    ) {
+        let (left_capacity, right_capacity) = capacities;
+        let left_items = stream(&left_raw, key_space, weighted);
+        let right_items = stream(&right_raw, key_space, weighted);
+        let mut left = SpaceSaving::new(left_capacity);
+        let mut left_ref = Reference::new(left_capacity);
+        offer_both(&mut left, &mut left_ref, &left_items, "left");
+        let mut right = SpaceSaving::new(right_capacity);
+        let mut right_ref = Reference::new(right_capacity);
+        offer_both(&mut right, &mut right_ref, &right_items, "right");
+        for (mut ss, mut reference, other, other_ref, label) in [
+            (left.clone(), left_ref.clone(), &right, &right_ref, "left+right"),
+            (right.clone(), right_ref.clone(), &left, &left_ref, "right+left"),
+        ] {
+            ss.merge(other);
+            reference.merge(other_ref);
+            assert_same(&ss, &reference, label);
+            offer_both(&mut ss, &mut reference, &left_items, label);
         }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints, every workspace test, and the
-# benchmark package's build and tests.
+# The full local gate: formatting, lints, a build of the criterion
+# benches, every workspace test, and the benchmark package's build and
+# tests.
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,6 +11,9 @@ cargo fmt --check
 
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace -- -D warnings
+
+echo "== cargo check (bench crate's criterion benches) =="
+cargo check -p bench --benches
 
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
